@@ -16,7 +16,7 @@ use crate::history::{
     row_fingerprint, BranchHistory, ReadAccess, VersionedValue, WriteAccess, TOMBSTONE_FINGERPRINT,
 };
 use crate::lock::{LockManager, LockMode, LockStats};
-use crate::mvcc::{ChainVersion, VersionStore};
+use crate::mvcc::VersionStore;
 use crate::row::Row;
 use crate::types::{Key, StorageError, TableId, Xid};
 use crate::wal::{LogRecord, WriteAheadLog};
@@ -449,17 +449,22 @@ impl StorageEngine {
                 .cloned()
                 .ok_or(StorageError::KeyNotFound(key));
         }
-        let version = match self.config.isolation {
-            IsolationLevel::SnapshotRead => {
-                let ts = self.snapshot_ts_of(xid);
-                self.mvcc.read_at(key, ts)
-            }
-            _ => self.mvcc.read_latest(key),
+        let ts = match self.config.isolation {
+            IsolationLevel::SnapshotRead => self.snapshot_ts_of(xid),
+            _ => u64::MAX,
         };
+        // Resolve the visible version once and clone only its row.
+        let visible = self.mvcc.visible_at(key, ts, |v| {
+            let observed = VersionedValue {
+                version: v.version,
+                fingerprint: v.fingerprint,
+            };
+            (v.row.clone(), observed)
+        });
         self.stats.borrow_mut().snapshot_reads += 1;
-        let version = version.ok_or(StorageError::KeyNotFound(key))?;
-        let row = version.row.clone().ok_or(StorageError::KeyNotFound(key))?;
-        self.record_versioned_read(xid, key, &version);
+        let (row, observed) = visible.ok_or(StorageError::KeyNotFound(key))?;
+        let row = row.ok_or(StorageError::KeyNotFound(key))?;
+        self.record_versioned_read(xid, key, observed);
         Ok(row)
     }
 
@@ -544,14 +549,10 @@ impl StorageEngine {
     /// version served* — the checker validates against real version chains,
     /// not recorder shadows. Own-write reads never reach here (filtered in
     /// [`StorageEngine::read_versioned`]).
-    fn record_versioned_read(&self, xid: Xid, key: Key, version: &ChainVersion) {
+    fn record_versioned_read(&self, xid: Xid, key: Key, observed: VersionedValue) {
         if !self.config.record_history {
             return;
         }
-        let observed = VersionedValue {
-            version: version.version,
-            fingerprint: version.fingerprint,
-        };
         let mut txns = self.txns.borrow_mut();
         let Some(entry) = txns.get_mut(&xid) else {
             return;
@@ -1637,16 +1638,86 @@ mod tests {
         let mut rt = Runtime::new();
         rt.block_on(async {
             let eng = mvcc_engine(IsolationLevel::SnapshotRead);
-            for n in 0..10 {
-                geotp_simrt::sleep(Duration::from_millis(1)).await;
-                eng.begin(xid(10 + n)).unwrap();
-                eng.add_int(xid(10 + n), key(1), 0, 1).await.unwrap();
-                eng.commit(xid(10 + n), true).await.unwrap();
-            }
+            commit_versions(&eng, 10, 10, &[key(1)]).await;
             // No snapshot is open: an explicit GC collapses the chain.
             eng.version_store().gc();
             assert_eq!(eng.version_store().chain_len(key(1)), 1);
             assert!(eng.version_store().stats().versions_gced >= 9);
+        });
+    }
+
+    /// Commits one version of every key in `keys` per branch, 1 ms apart.
+    async fn commit_versions(eng: &StorageEngine, first_xid: u64, branches: u64, keys: &[Key]) {
+        for n in first_xid..first_xid + branches {
+            geotp_simrt::sleep(Duration::from_millis(1)).await;
+            eng.begin(xid(n)).unwrap();
+            for k in keys {
+                eng.add_int(xid(n), *k, 0, 1).await.unwrap();
+            }
+            eng.commit(xid(n), true).await.unwrap();
+        }
+    }
+
+    #[test]
+    fn restart_rollback_releases_an_active_branch_snapshot() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let eng = mvcc_engine(IsolationLevel::SnapshotRead);
+            // An active branch pins a snapshot with its first plain read.
+            eng.begin(xid(1)).unwrap();
+            eng.read(xid(1), key(1)).await.unwrap();
+            assert!(eng.version_store().oldest_open_snapshot().is_some());
+            // Later commits grow both chains behind the pinned horizon.
+            commit_versions(&eng, 10, 3, &[key(1), key(2)]).await;
+            let mvcc = eng.version_store();
+            mvcc.gc();
+            assert_eq!(mvcc.chain_len(key(1)), 4);
+            assert_eq!(mvcc.multi_version_chains(), 2);
+
+            eng.crash();
+            assert!(eng.restart().await.is_empty());
+            // The victim rollback closed the snapshot; its GC pass collapsed
+            // every chain to the tip and emptied the multi-version list.
+            assert_eq!(eng.state_of(xid(1)), None);
+            assert_eq!(mvcc.oldest_open_snapshot(), None);
+            assert_eq!(mvcc.chain_len(key(1)), 1);
+            assert_eq!(mvcc.chain_len(key(2)), 1);
+            assert_eq!(mvcc.multi_version_chains(), 0);
+            assert_eq!(mvcc.read_latest(key(1)).unwrap().version, 3);
+        });
+    }
+
+    #[test]
+    fn durable_prepare_keeps_the_snapshot_horizon_across_restart() {
+        let mut rt = Runtime::new();
+        rt.block_on(async {
+            let eng = mvcc_engine(IsolationLevel::SnapshotRead);
+            // A branch pins a snapshot, writes and makes its prepare durable.
+            eng.begin(xid(1)).unwrap();
+            eng.read(xid(1), key(1)).await.unwrap();
+            eng.add_int(xid(1), key(2), 0, 5).await.unwrap();
+            eng.prepare(xid(1)).await.unwrap();
+            let pinned = eng.version_store().oldest_open_snapshot().unwrap();
+            commit_versions(&eng, 10, 3, &[key(1)]).await;
+
+            eng.crash();
+            assert_eq!(eng.restart().await, vec![xid(1)]);
+            // Undecided after restart: the snapshot still pins the horizon,
+            // so GC keeps the version it observed.
+            let mvcc = eng.version_store();
+            assert_eq!(mvcc.oldest_open_snapshot(), Some(pinned));
+            mvcc.gc();
+            assert_eq!(mvcc.chain_len(key(1)), 4);
+            assert_eq!(mvcc.read_at(key(1), pinned).unwrap().version, 0);
+            assert_eq!(mvcc.multi_version_chains(), 1);
+
+            // The decision releases the horizon.
+            eng.commit(xid(1), false).await.unwrap();
+            assert_eq!(mvcc.oldest_open_snapshot(), None);
+            assert_eq!(mvcc.chain_len(key(1)), 1);
+            mvcc.gc();
+            assert_eq!(mvcc.chain_len(key(2)), 1);
+            assert_eq!(mvcc.multi_version_chains(), 0);
         });
     }
 
