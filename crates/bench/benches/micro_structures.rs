@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the core data structures the middleware's
-//! hot path relies on: the 2PL lock manager, the hotspot footprint (AVL+LRU),
-//! the geo-scheduler computation and the YCSB Zipfian generator.
+//! hot path relies on: the 2PL lock manager, the hotspot footprint (hash
+//! map + LRU), the geo-scheduler computation and the YCSB Zipfian generator.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -162,10 +162,9 @@ fn bench_hotspot(c: &mut Criterion) {
 /// is touched over and over (leaving the LRU queue full of *stale* entries —
 /// every touch pushes one) while a stream of new cold keys keeps the
 /// footprint at capacity, so each insert's eviction scan has to wade through
-/// the stale entries. Skipping a stale entry used to pay one AVL lookup
-/// (~11% inclusive at the paper-default YCSB config per the ROADMAP
-/// profile); with the arena handle stored in the LRU node it is an O(1)
-/// slot probe.
+/// the stale entries. Validating a popped entry (stale or not) is one hash
+/// probe: the record must still carry the entry's touch and have no active
+/// accessor.
 fn bench_hotspot_eviction(c: &mut Criterion) {
     const HOT_KEYS: u64 = 64;
     const TOUCHES_PER_COLD_INSERT: u64 = 8;

@@ -390,6 +390,11 @@ impl Cluster {
     /// asked for them.
     pub fn load_uniform(&self, records_per_node: u64, initial_value: i64) {
         let total = records_per_node * self.sources.len() as u64;
+        // Each source receives `records_per_node` rows under a uniform
+        // partitioning; the reservation is only a sizing hint otherwise.
+        for source in &self.sources {
+            source.reserve(records_per_node as usize);
+        }
         for row in 0..total {
             let key = GlobalKey::new(USERTABLE, row);
             let ds = self.partitioner.route(key) as usize;

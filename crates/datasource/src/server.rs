@@ -192,6 +192,11 @@ impl DataSource {
             .insert(peer.index(), Rc::downgrade(peer));
     }
 
+    /// Reserve room for `additional` more records before a bulk load.
+    pub fn reserve(&self, additional: usize) {
+        self.engine.reserve(additional);
+    }
+
     /// Bulk-load a record (initial population, no locking or logging).
     pub fn load(&self, key: geotp_storage::Key, row: Row) {
         self.engine.load(key, row);

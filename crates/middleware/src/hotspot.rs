@@ -10,13 +10,15 @@
 //! * `c_cnt(r)`  — number of committed transactions that accessed `r`,
 //! * `a_cnt(r)`  — number of transactions currently accessing `r`.
 //!
-//! Records live in an [`AvlMap`] (point/range lookups in `O(log n)`) and an
-//! LRU list evicts cold records so memory stays bounded.
+//! Records live in a hash map (every lookup is a point lookup, one probe
+//! each) and an LRU queue evicts cold records so memory stays bounded.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use crate::avl::{AvlHandle, AvlMap};
+use geotp_simrt::hash::FxHashMap;
+
 use crate::ops::GlobalKey;
 
 /// Statistics for one hot record.
@@ -81,12 +83,12 @@ impl Default for HotspotConfig {
 /// The hotspot footprint table.
 pub struct HotspotFootprint {
     config: HotspotConfig,
-    records: AvlMap<GlobalKey, HotRecordStats>,
-    /// LRU queue of `(key, touch, handle)` entries; stale entries are skipped
-    /// on eviction. The arena handle makes eviction *validation* O(1) — a
-    /// slot probe instead of the AVL lookup that used to cost ~11% inclusive
-    /// at the paper-default YCSB config (one tree descent per popped entry).
-    lru: VecDeque<(GlobalKey, u64, AvlHandle)>,
+    records: FxHashMap<GlobalKey, HotRecordStats>,
+    /// LRU queue of `(key, touch)` entries, one per touch. An entry is stale
+    /// once its record has been touched again (or evicted and re-inserted,
+    /// which also stamps a later touch); stale entries are skipped on
+    /// eviction.
+    lru: VecDeque<(GlobalKey, u64)>,
     touch_counter: u64,
     evictions: u64,
     /// Reusable buffer for [`HotspotFootprint::on_subtxn_feedback`].
@@ -98,7 +100,7 @@ impl HotspotFootprint {
     pub fn new(config: HotspotConfig) -> Self {
         Self {
             config,
-            records: AvlMap::new(),
+            records: FxHashMap::default(),
             lru: VecDeque::new(),
             touch_counter: 0,
             evictions: 0,
@@ -132,18 +134,19 @@ impl HotspotFootprint {
     }
 
     /// Bump the touch clock for `key` and apply `f` to its stats entry
-    /// (creating it first if needed) — one tree traversal per call.
+    /// (creating it first if needed) — one hash probe per call.
     fn touch_with(&mut self, key: GlobalKey, f: impl FnOnce(&mut HotRecordStats)) {
         self.touch_counter += 1;
         let touch = self.touch_counter;
         let before = self.records.len();
-        let (handle, entry) = self
+        let entry = self
             .records
-            .get_or_insert_with_handle(key, || HotRecordStats::new(touch));
+            .entry(key)
+            .or_insert_with(|| HotRecordStats::new(touch));
         entry.last_touch = touch;
         f(entry);
         let inserted = self.records.len() != before;
-        self.lru.push_back((key, touch, handle));
+        self.lru.push_back((key, touch));
         if inserted {
             self.maybe_evict();
         }
@@ -151,20 +154,19 @@ impl HotspotFootprint {
 
     fn maybe_evict(&mut self) {
         while self.records.len() > self.config.capacity {
-            let Some((candidate, touch, handle)) = self.lru.pop_front() else {
+            let Some((candidate, touch)) = self.lru.pop_front() else {
                 return;
             };
-            // O(1) validation through the arena handle: only evict if the
-            // entry still exists (generation matches), this LRU entry is its
-            // latest touch, and nothing is currently accessing it. Only a
-            // *passing* validation pays the O(log n) tree removal.
-            let evict = match self.records.peek_handle(handle) {
-                Some((_, stats)) => stats.last_touch == touch && stats.a_cnt == 0,
-                None => false,
-            };
-            if evict {
-                self.records.remove(&candidate);
-                self.evictions += 1;
+            // Evict only if this LRU entry is the record's latest touch and
+            // nothing is currently accessing it. A record that was evicted
+            // and re-inserted since carries a later touch, so its old entries
+            // fail the check.
+            if let Entry::Occupied(slot) = self.records.entry(candidate) {
+                let stats = slot.get();
+                if stats.last_touch == touch && stats.a_cnt == 0 {
+                    slot.remove();
+                    self.evictions += 1;
+                }
             }
         }
     }
@@ -191,7 +193,7 @@ impl HotspotFootprint {
         // Weight w_r = w_lat(r) / Σ w_lat(r_k); fall back to an even split when
         // no history exists yet. The per-key latencies are gathered once into
         // a reusable scratch buffer so each key costs one lookup for the sum
-        // and one upsert for the update, not four tree walks.
+        // and one upsert for the update.
         let mut lats = std::mem::take(&mut self.feedback_scratch);
         lats.clear();
         lats.extend(
@@ -266,6 +268,9 @@ impl HotspotFootprint {
 mod tests {
     use super::*;
     use geotp_storage::TableId;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn gk(row: u64) -> GlobalKey {
         GlobalKey::new(TableId(0), row)
@@ -373,5 +378,198 @@ mod tests {
             fp.stats(gk(0)).is_some(),
             "in-use record must survive eviction"
         );
+    }
+
+    /// Reference footprint with the eviction rule spelled out through
+    /// record incarnations: an LRU entry may evict its record only if the
+    /// record was not evicted and re-inserted since the entry was queued,
+    /// the entry is the record's latest touch, and nothing is accessing it.
+    struct ReferenceFootprint {
+        config: HotspotConfig,
+        records: BTreeMap<GlobalKey, (HotRecordStats, u64)>,
+        lru: VecDeque<(GlobalKey, u64, u64)>,
+        touch_counter: u64,
+        incarnations: u64,
+        evictions: u64,
+    }
+
+    impl ReferenceFootprint {
+        fn new(config: HotspotConfig) -> Self {
+            Self {
+                config,
+                records: BTreeMap::new(),
+                lru: VecDeque::new(),
+                touch_counter: 0,
+                incarnations: 0,
+                evictions: 0,
+            }
+        }
+
+        fn touch_with(&mut self, key: GlobalKey, f: impl FnOnce(&mut HotRecordStats)) {
+            self.touch_counter += 1;
+            let touch = self.touch_counter;
+            let inserted = !self.records.contains_key(&key);
+            if inserted {
+                self.incarnations += 1;
+                let fresh = (HotRecordStats::new(touch), self.incarnations);
+                self.records.insert(key, fresh);
+            }
+            let (stats, incarnation) = self.records.get_mut(&key).unwrap();
+            stats.last_touch = touch;
+            f(stats);
+            self.lru.push_back((key, touch, *incarnation));
+            while inserted && self.records.len() > self.config.capacity {
+                let Some((k, t, i)) = self.lru.pop_front() else {
+                    break;
+                };
+                let evict = self
+                    .records
+                    .get(&k)
+                    .is_some_and(|(s, inc)| *inc == i && s.last_touch == t && s.a_cnt == 0);
+                if evict {
+                    self.records.remove(&k);
+                    self.evictions += 1;
+                }
+            }
+        }
+
+        fn w_lat(&self, key: &GlobalKey) -> f64 {
+            self.records.get(key).map_or(0.0, |(s, _)| s.w_lat)
+        }
+
+        fn on_access_start(&mut self, keys: &[GlobalKey]) {
+            for key in keys {
+                self.touch_with(*key, |s| {
+                    s.t_cnt += 1;
+                    s.a_cnt += 1;
+                });
+            }
+        }
+
+        fn on_subtxn_feedback(&mut self, keys: &[GlobalKey], lel: Duration) {
+            let lats: Vec<f64> = keys.iter().map(|k| self.w_lat(k)).collect();
+            let sum: f64 = lats.iter().sum();
+            let alpha = self.config.alpha;
+            for (key, w_lat) in keys.iter().zip(&lats) {
+                let weight = if sum > 0.0 {
+                    w_lat / sum
+                } else {
+                    1.0 / keys.len() as f64
+                };
+                let observed = lel.as_secs_f64() * weight;
+                self.touch_with(*key, |s| {
+                    s.w_lat = if s.w_lat == 0.0 {
+                        observed
+                    } else {
+                        alpha * s.w_lat + (1.0 - alpha) * observed
+                    };
+                });
+            }
+        }
+
+        fn on_txn_finish(&mut self, keys: &[GlobalKey], committed: bool) {
+            for key in keys {
+                if let Some((s, _)) = self.records.get_mut(key) {
+                    s.a_cnt = s.a_cnt.saturating_sub(1);
+                    s.c_cnt += u64::from(committed);
+                }
+            }
+        }
+
+        fn forecast_local_latency(&self, keys: &[GlobalKey]) -> Duration {
+            let total: f64 = keys.iter().map(|k| self.w_lat(k)).sum();
+            Duration::from_secs_f64((total * self.config.forecast_scale).max(0.0))
+        }
+
+        fn success_probability(&self, keys: &[GlobalKey]) -> f64 {
+            let mut p = 1.0;
+            for (s, _) in keys.iter().filter_map(|k| self.records.get(k)) {
+                let queue = s.a_cnt.saturating_sub(1);
+                if queue > 0 {
+                    p *= s.success_ratio().powi(queue as i32);
+                }
+            }
+            p
+        }
+    }
+
+    #[test]
+    fn hashed_footprint_matches_the_reference_model() {
+        const KEYS: u64 = 200;
+        const OPS: usize = 300;
+        for capacity in [1usize, 4, 64] {
+            for seed in 0..32u64 {
+                let config = HotspotConfig {
+                    capacity,
+                    forecast_scale: 0.8,
+                    ..HotspotConfig::default()
+                };
+                let mut fp = HotspotFootprint::new(config);
+                let mut reference = ReferenceFootprint::new(config);
+                let mut rng = StdRng::seed_from_u64(seed);
+                // Key sets of transactions that started and have not finished.
+                let mut active: Vec<Vec<GlobalKey>> = Vec::new();
+                for op in 0..OPS {
+                    // Skewed key sets (duplicates allowed): a few hot keys are
+                    // touched again and again while cold keys churn the LRU.
+                    let n = rng.gen_range(1..5usize);
+                    let keys: Vec<GlobalKey> = (0..n)
+                        .map(|_| {
+                            gk(if rng.gen_bool(0.6) {
+                                rng.gen_range(0..8u64)
+                            } else {
+                                rng.gen_range(0..KEYS)
+                            })
+                        })
+                        .collect();
+                    match rng.gen_range(0..100u32) {
+                        0..=39 => {
+                            fp.on_access_start(&keys);
+                            reference.on_access_start(&keys);
+                            active.push(keys.clone());
+                        }
+                        40..=64 => {
+                            let feedback = if !active.is_empty() && rng.gen_bool(0.7) {
+                                active[rng.gen_range(0..active.len())].clone()
+                            } else {
+                                keys.clone()
+                            };
+                            let lel = Duration::from_micros(rng.gen_range(0..50_000u64));
+                            fp.on_subtxn_feedback(&feedback, lel);
+                            reference.on_subtxn_feedback(&feedback, lel);
+                        }
+                        _ => {
+                            // Mostly finish a started transaction; sometimes
+                            // finish keys that were never started.
+                            let finished = if !active.is_empty() && rng.gen_bool(0.9) {
+                                active.swap_remove(rng.gen_range(0..active.len()))
+                            } else {
+                                keys.clone()
+                            };
+                            let committed = rng.gen_bool(0.7);
+                            fp.on_txn_finish(&finished, committed);
+                            reference.on_txn_finish(&finished, committed);
+                        }
+                    }
+                    let step = format!("capacity {capacity} seed {seed} op {op}");
+                    assert_eq!(fp.len(), reference.records.len(), "{step}: len");
+                    assert_eq!(fp.evictions(), reference.evictions, "{step}: evictions");
+                    for row in 0..KEYS {
+                        let expected = reference.records.get(&gk(row)).map(|(s, _)| *s);
+                        assert_eq!(fp.stats(gk(row)), expected, "{step}: stats({row})");
+                    }
+                    assert_eq!(
+                        fp.forecast_local_latency(&keys),
+                        reference.forecast_local_latency(&keys),
+                        "{step}: forecast"
+                    );
+                    assert_eq!(
+                        fp.success_probability(&keys),
+                        reference.success_probability(&keys),
+                        "{step}: success probability"
+                    );
+                }
+            }
+        }
     }
 }

@@ -288,6 +288,20 @@ impl StorageEngine {
         &self.mvcc
     }
 
+    /// Reserve room for `additional` more records before a bulk load, so the
+    /// per-key maps are sized once instead of rehashing as the table fills
+    /// (the last rehash briefly holds the old and the new table together).
+    pub fn reserve(&self, additional: usize) {
+        self.records.borrow_mut().reserve(additional);
+        if self.config.record_history || self.mvcc_enabled() {
+            self.versions.borrow_mut().reserve(additional);
+            self.base_fingerprints.borrow_mut().reserve(additional);
+            if self.mvcc_enabled() {
+                self.mvcc.reserve(additional);
+            }
+        }
+    }
+
     /// Bulk-load a record without locking or logging (initial population).
     pub fn load(&self, key: Key, row: Row) {
         if self.config.record_history || self.mvcc_enabled() {

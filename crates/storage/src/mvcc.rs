@@ -81,6 +81,11 @@ impl VersionStore {
         Self::default()
     }
 
+    /// Reserve room for `additional` more chains before a bulk load.
+    pub(crate) fn reserve(&self, additional: usize) {
+        self.chains.borrow_mut().reserve(additional);
+    }
+
     /// Install the bulk-loaded version 0 of a key (no GC accounting: load
     /// happens before any snapshot opens).
     pub fn load(&self, key: Key, row: Row, fingerprint: u64) {

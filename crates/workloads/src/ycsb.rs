@@ -139,6 +139,7 @@ impl YcsbGenerator {
     pub fn load(&self, sources: &[Rc<DataSource>]) {
         for (node, source) in sources.iter().enumerate() {
             let base = node as u64 * self.config.records_per_node;
+            source.reserve(self.config.records_per_node as usize);
             for row in 0..self.config.records_per_node {
                 source.load(
                     GlobalKey::new(USERTABLE, base + row).storage_key(),
